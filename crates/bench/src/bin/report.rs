@@ -14,10 +14,6 @@
 //! matching-index duplication factor (`index.registrations` per
 //! `index.entries`) exceeds 4× — the CI gates against behavioral drift
 //! and index fan-out regressions on the pinned workload.
-//!
-//! Baselines written before the index-counter rename (`index.grid_*`)
-//! are read through a fallback, so old pinned reports stay diffable; a
-//! rename is reported as a note, never a failure.
 
 use hypersub_core::report::Report;
 use std::collections::BTreeSet;
@@ -204,31 +200,10 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     // workload is worth a warning even when digests match (the factor is
     // derived state, not traffic); a candidate above the 4× hard cap is
     // a failure — the duplication tax this index exists to kill.
-    //
-    // Reports written before the rename carry `index.grid_*` counters
-    // instead; read them through the fallback so old pinned baselines
-    // stay comparable, and say so rather than pretending they indexed
-    // nothing.
     let factor = |r: &Report| {
-        let (entries, regs) = match counter_total(r, "index.entries") {
-            0 => (
-                counter_total(r, "index.grid_entries"),
-                counter_total(r, "index.grid_registrations"),
-            ),
-            e => (e, counter_total(r, "index.registrations")),
-        };
-        (entries > 0).then(|| regs as f64 / entries as f64)
+        let entries = counter_total(r, "index.entries");
+        (entries > 0).then(|| counter_total(r, "index.registrations") as f64 / entries as f64)
     };
-    let renamed = |r: &Report| {
-        counter_total(r, "index.entries") == 0 && counter_total(r, "index.grid_entries") > 0
-    };
-    if renamed(a) != renamed(b) {
-        let (old, path) = if renamed(a) { (pa, pb) } else { (pb, pa) };
-        println!(
-            "  note: {old} predates the index.* counter rename (grid_* \
-             fallback applied); {path} uses the current names"
-        );
-    }
     if let (Some(fa), Some(fb)) = (factor(a), factor(b)) {
         let drift = (fb - fa).abs() / fa;
         if drift > 0.10 {

@@ -33,6 +33,32 @@ use hypersub_simnet::FxHashMap;
 /// Entry count at which a repository builds an index (any mode).
 pub const INDEX_THRESHOLD: usize = 64;
 
+/// Rebuild-on-drift accounting for an incrementally maintained structure:
+/// it goes stale once the mutations absorbed since its build exceed 25%
+/// of the build-time size. Shared by the repositories' matching index
+/// and the ground-truth oracle's grid, so both rebuild on the same rule.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Drift {
+    built_at: usize,
+    mutations: usize,
+}
+
+impl Drift {
+    /// Starts counting against a structure just built over `size` items.
+    pub(crate) fn reset(&mut self, size: usize) {
+        *self = Drift {
+            built_at: size,
+            mutations: 0,
+        };
+    }
+
+    /// Counts one absorbed mutation; `true` once the structure is stale.
+    pub(crate) fn bump(&mut self) -> bool {
+        self.mutations += 1;
+        self.mutations * 4 > self.built_at.max(1)
+    }
+}
+
 /// Which matching-index structure repositories build past the threshold.
 /// Purely a performance choice: all modes produce identical match sets
 /// (enforced by the differential oracle proptest), so run digests are

@@ -15,7 +15,7 @@
 //!   points at the parent zone's repository, forming the chain events
 //!   climb during delivery.
 
-use crate::index::{GridIndex, HybridIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
+use crate::index::{Drift, GridIndex, HybridIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
 use crate::model::{SchemeId, SubId, SubschemeId};
 use hypersub_lph::{Point, Rect, ZoneCode};
 use hypersub_simnet::FxHashMap;
@@ -85,10 +85,8 @@ pub struct ZoneRepo {
     /// and the index is rebuilt from scratch only when the mutation
     /// count has drifted more than 25% from the build-time entry count.
     index: Option<BuiltIndex>,
-    /// Entry count when `index` was built.
-    index_built_at: usize,
     /// Mutations absorbed by `index` since its build.
-    index_drift: usize,
+    index_drift: Drift,
     /// Cumulative candidates examined by indexed `match_point` calls
     /// (diagnostics; not snapshot state).
     scanned: u64,
@@ -103,8 +101,7 @@ impl ZoneRepo {
             summary: None,
             pushed: FxHashMap::default(),
             index: None,
-            index_built_at: 0,
-            index_drift: 0,
+            index_drift: Drift::default(),
             scanned: 0,
         }
     }
@@ -114,8 +111,7 @@ impl ZoneRepo {
     /// next `match_point` rebuilds fresh, folding overflow/stale slots
     /// back into a tight structure).
     fn bump_drift(&mut self) {
-        self.index_drift += 1;
-        if self.index_drift * 4 > self.index_built_at.max(1) {
+        if self.index_drift.bump() {
             self.index = None;
         }
     }
@@ -213,8 +209,7 @@ impl ZoneRepo {
                 IndexMode::Hybrid => Some(BuiltIndex::Hybrid(HybridIndex::build(entries))),
                 IndexMode::Linear => unreachable!(),
             };
-            self.index_built_at = self.entries.len();
-            self.index_drift = 0;
+            self.index_drift.reset(self.entries.len());
         }
         let mut scanned = 0u64;
         let mut out: Vec<SubId> = match &self.index {
@@ -459,8 +454,7 @@ impl Decode for ZoneRepo {
             summary: Option::<Rect>::decode(r)?,
             pushed: decode_map(r)?,
             index: None,
-            index_built_at: 0,
-            index_drift: 0,
+            index_drift: Drift::default(),
             scanned: 0,
         })
     }

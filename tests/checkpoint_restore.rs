@@ -13,6 +13,8 @@ use hypersub_core::prelude::*;
 use hypersub_simnet::{FaultPlane, LinkPolicy};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic scenario: a snapshot-enabled network with `subs`
 /// subscriptions installed and quiesced, `events` publishes scheduled
@@ -215,6 +217,85 @@ fn snapshot_of_restored_network_round_trips_again() {
     fin.run_to_quiescence();
     assert_eq!(fin.run_digest(), reference.run_digest());
     assert_eq!(fin.deliveries(), reference.deliveries());
+}
+
+#[test]
+fn publish_expected_counts_track_churn_across_restore() {
+    // The run digest does not hash `PublishRecord::expected`, so check
+    // the oracle's count directly: interleave subscribe, unsubscribe and
+    // publish over two schemes of different arity, and compare every
+    // publish's recorded count with a brute-force count over the
+    // subscriptions live at that instant — before and after a restore.
+    let scheme = |id, attrs: &[&str]| {
+        attrs
+            .iter()
+            .fold(SchemeDef::builder("churn"), |b, a| {
+                b.attribute(a, 0.0, 100.0)
+            })
+            .build(id)
+    };
+    let mut net = Network::builder(24)
+        .registry(Registry::new(vec![
+            scheme(0, &["x", "y"]),
+            scheme(1, &["x", "y", "z"]),
+        ]))
+        .latency(SimTime::from_millis(10))
+        .seed(31)
+        .snapshots(SnapshotConfig::enabled())
+        .build()
+        .expect("valid churn network");
+    let mut rng = SmallRng::seed_from_u64(31);
+    let mut live: Vec<(usize, SchemeId, SubId, Rect)> = Vec::new();
+    let dims = |scheme: SchemeId| 2 + scheme as usize;
+    let mut checked = 0;
+    for step in 0..900 {
+        if step == 450 {
+            let bytes = net.snapshot().expect("snapshot-enabled network");
+            net = Network::restore(&bytes).expect("restore snapshot bytes");
+        }
+        let node = rng.gen_range(0..24);
+        let scheme: SchemeId = rng.gen_range(0..2);
+        match rng.gen_range(0..10) {
+            // Subscribe-heavy at first so the live set grows, then
+            // balanced churn that crosses the rebuild threshold often.
+            k if k < 4 || (step < 100 && k < 8) => {
+                let lo: Vec<f64> = (0..dims(scheme))
+                    .map(|_| rng.gen_range(0.0..80.0))
+                    .collect();
+                let hi: Vec<f64> = lo
+                    .iter()
+                    .map(|&l| (l + rng.gen_range(0.0f64..40.0)).min(100.0))
+                    .collect();
+                let rect = Rect::new(lo, hi);
+                let id = net.subscribe(node, scheme, Subscription::new(rect.clone()));
+                live.push((node, scheme, id, rect));
+            }
+            k if k < 7 && !live.is_empty() => {
+                let (node, _, id, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                net.unsubscribe(node, id).expect("live subscription");
+            }
+            _ => {
+                let point = Point(
+                    (0..dims(scheme))
+                        .map(|_| rng.gen_range(0.0..100.0))
+                        .collect(),
+                );
+                let brute = live
+                    .iter()
+                    .filter(|(_, s, _, r)| *s == scheme && r.contains_point(&point))
+                    .count();
+                let event = net.publish(node, scheme, point).expect("valid node");
+                assert_eq!(
+                    net.metrics().publishes()[&event].expected,
+                    brute,
+                    "step {step}: event {event}"
+                );
+                checked += 1;
+            }
+        }
+        net.run_until(net.time() + SimTime::from_millis(5));
+    }
+    assert!(checked > 200, "only {checked} publishes checked");
 }
 
 proptest! {
