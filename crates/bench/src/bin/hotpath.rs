@@ -6,6 +6,8 @@
 //! `--label`. The file accumulates one entry per label, so the repo can
 //! commit a `baseline` entry and an `after` entry from the same PR and
 //! every future PR appends its own label to extend the trajectory.
+//! The old file is parsed, so its layout does not matter; a file that
+//! does not parse is left untouched and `hotpath` exits 1.
 //!
 //! The run digest (delivery trace + network counters, see
 //! `hypersub_core::digest`) is recorded alongside the timings: two
@@ -36,8 +38,10 @@
 //!   digest matches — CI uses this to prove the split run reproduces the
 //!   straight-through digest bit-for-bit.
 
+use hypersub_bench::merge_hotpath;
 use hypersub_core::config::SystemConfig;
 use hypersub_core::index::{IndexDiag, IndexMode};
+use hypersub_core::json::Json;
 use hypersub_core::model::Registry;
 use hypersub_core::sim::{Network, SnapshotConfig, TopologyKind};
 use hypersub_simnet::SimTime;
@@ -186,56 +190,36 @@ fn run_resume(bytes: &[u8]) -> Network {
     net
 }
 
-/// One run entry, serialized as a single JSON line so the merge logic
-/// below can treat the file line-by-line without a JSON parser.
-fn entry_json(label: &str, mode: &str, index: IndexMode, p: &Pinned, o: &RunOutcome) -> String {
+/// One run entry of `BENCH_hotpath.json`.
+fn run_entry(label: &str, mode: &str, index: IndexMode, p: &Pinned, o: &RunOutcome) -> Json {
     let events_per_sec = o.sim_events as f64 / (o.publish_ms / 1e3);
     let dup = if o.diag.entries == 0 {
         0.0
     } else {
         o.diag.registrations as f64 / o.diag.entries as f64
     };
-    format!(
-        "    {{ \"label\": \"{label}\", \"mode\": \"{mode}\", \"index\": \"{}\", \"nodes\": {}, \
-         \"subs_per_node\": {}, \"published_events\": {}, \"seed\": {}, \"setup_ms\": {:.1}, \
-         \"publish_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \"total_msgs\": {}, \
-         \"index_registrations\": {}, \"index_entries\": {}, \"index_bytes\": {}, \
-         \"covering_collapsed\": {}, \"candidates_scanned\": {}, \"duplication_factor\": {:.2}, \
-         \"digest\": \"{:#018x}\" }}",
-        index.name(),
-        p.nodes,
-        p.subs_per_node,
-        p.events,
-        p.seed,
-        o.setup_ms,
-        o.publish_ms,
-        o.sim_events,
-        events_per_sec,
-        o.msgs,
-        o.diag.registrations,
-        o.diag.entries,
-        o.diag.bytes,
-        o.diag.covering_collapsed,
-        o.diag.candidates_scanned,
-        dup,
-        o.digest,
-    )
-}
-
-/// Pulls `"field": <number>` out of a single-line run entry.
-fn extract_num(line: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\": ");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find([',', ' ', '}']).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn extract_str<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let key = format!("\"{field}\": \"");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+    let count = |n: usize| Json::from(n as u64);
+    Json::object([
+        ("label", Json::str(label)),
+        ("mode", Json::str(mode)),
+        ("index", Json::str(index.name())),
+        ("nodes", count(p.nodes)),
+        ("subs_per_node", count(p.subs_per_node)),
+        ("published_events", count(p.events)),
+        ("seed", p.seed.into()),
+        ("setup_ms", Json::fixed(o.setup_ms, 1)),
+        ("publish_ms", Json::fixed(o.publish_ms, 1)),
+        ("sim_events", o.sim_events.into()),
+        ("events_per_sec", Json::fixed(events_per_sec, 0)),
+        ("total_msgs", o.msgs.into()),
+        ("index_registrations", o.diag.registrations.into()),
+        ("index_entries", o.diag.entries.into()),
+        ("index_bytes", o.diag.bytes.into()),
+        ("covering_collapsed", o.diag.covering_collapsed.into()),
+        ("candidates_scanned", o.diag.candidates_scanned.into()),
+        ("duplication_factor", Json::fixed(dup, 2)),
+        ("digest", Json::hex(o.digest)),
+    ])
 }
 
 fn main() {
@@ -316,7 +300,7 @@ fn main() {
         eprintln!("hotpath [{mode}]: run report written to {path}");
     }
     drop(net);
-    let line = entry_json(&label, mode, index, &p, &o);
+    let entry = run_entry(&label, mode, index, &p, &o);
     eprintln!(
         "hotpath [{mode}] {label}: setup {:.1} ms, publish {:.1} ms, {} sim events \
          ({:.0} events/sec), digest {:#018x}",
@@ -327,56 +311,20 @@ fn main() {
         o.digest
     );
 
-    // Merge with prior entries of other labels *in the same mode*; a rerun
-    // of an existing (label, mode) replaces it.
-    let mut runs: Vec<String> = std::fs::read_to_string(&out)
-        .map(|old| {
-            old.lines()
-                .filter(|l| l.trim_start().starts_with("{ \"label\""))
-                .filter(|l| {
-                    extract_str(l, "label") != Some(&label) || extract_str(l, "mode") != Some(mode)
-                })
-                .map(|l| l.trim_end().trim_end_matches(',').to_string())
-                .collect()
-        })
-        .unwrap_or_default();
-    runs.push(line);
-
-    let find = |label: &str| {
-        runs.iter().find(|l| {
-            extract_str(l, "label") == Some(label) && extract_str(l, "mode") == Some("full")
-        })
+    // Merge with the prior entries; a rerun of an existing (label, mode)
+    // replaces it. A file that exists but does not parse is left alone.
+    let old = match std::fs::read_to_string(&out) {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            eprintln!("hotpath: cannot read {out}: {e}");
+            std::process::exit(1);
+        }
     };
-    let speedup = |base: &str, new: &str| -> Option<f64> {
-        let (b, a) = (find(base)?, find(new)?);
-        let bv = extract_num(b, "events_per_sec")?;
-        let av = extract_num(a, "events_per_sec")?;
-        Some(av / bv.max(1e-9))
-    };
-    // Every full-mode row measures the identical workload, so all their
-    // digests must agree regardless of label or index shape.
-    let full_digests: Vec<&str> = runs
-        .iter()
-        .filter(|l| extract_str(l, "mode") == Some("full"))
-        .filter_map(|l| extract_str(l, "digest"))
-        .collect();
-    let digests_match = full_digests.windows(2).all(|w| w[0] == w[1]);
-    let mut tail = match speedup("baseline", "after") {
-        Some(s) => format!("\"speedup_after_vs_baseline\": {s:.2}"),
-        None => "\"speedup_after_vs_baseline\": null".to_string(),
-    };
-    // The index pair: `index-grid` re-measures the grid structure and
-    // `index` the hybrid on the *same* machine, so their ratio is free
-    // of the cross-machine drift the older baseline/after rows carry.
-    if let Some(s) = speedup("index-grid", "index") {
-        tail.push_str(&format!(", \"speedup_index_vs_grid\": {s:.2}"));
-    }
-    tail.push_str(&format!(", \"digests_match\": {digests_match}"));
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"runs\": [\n{}\n  ],\n  {}\n}}\n",
-        runs.join(",\n"),
-        tail
-    );
-    std::fs::write(&out, json).expect("write bench output");
+    let doc = merge_hotpath(old.as_deref(), entry).unwrap_or_else(|e| {
+        eprintln!("hotpath: {out} is not a bench file ({e}); not overwriting it");
+        std::process::exit(1);
+    });
+    std::fs::write(&out, doc.write()).expect("write bench output");
     println!("wrote {out}");
 }

@@ -89,14 +89,6 @@ fn delta_line(name: &str, a: u64, b: u64) {
     }
 }
 
-fn counter_total(r: &Report, name: &str) -> u64 {
-    r.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.total)
-        .unwrap_or(0)
-}
-
 /// A counter's namespace: the prefix before the first dot (`retry` for
 /// `retry.attempts`).
 fn namespace(name: &str) -> &str {
@@ -139,13 +131,7 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
             );
             continue;
         }
-        let cb = b
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c.total)
-            .unwrap_or(0);
-        delta_line(name, ca.total, cb);
+        delta_line(name, ca.total, b.counter_total(name));
     }
     for (name, _) in &b.counters {
         if !a.counters.iter().any(|(n, _)| n == name) {
@@ -188,7 +174,7 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     let drifted: Vec<&str> = if repair_comparable {
         repair
             .into_iter()
-            .filter(|n| counter_total(a, n) != counter_total(b, n))
+            .filter(|n| a.counter_total(n) != b.counter_total(n))
             .collect()
     } else {
         Vec::new()
@@ -201,8 +187,8 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     // derived state, not traffic); a candidate above the 4× hard cap is
     // a failure — the duplication tax this index exists to kill.
     let factor = |r: &Report| {
-        let entries = counter_total(r, "index.entries");
-        (entries > 0).then(|| counter_total(r, "index.registrations") as f64 / entries as f64)
+        let entries = r.counter_total("index.entries");
+        (entries > 0).then(|| r.counter_total("index.registrations") as f64 / entries as f64)
     };
     if let (Some(fa), Some(fb)) = (factor(a), factor(b)) {
         let drift = (fb - fa).abs() / fa;

@@ -19,6 +19,7 @@
 //! print diffable ASCII tables via `hypersub-stats`.
 
 use hypersub_core::config::SystemConfig;
+use hypersub_core::json::Json;
 use hypersub_core::metrics::EventStats;
 use hypersub_core::model::Registry;
 use hypersub_core::sim::{Network, TopologyKind};
@@ -313,6 +314,66 @@ pub fn print_summary(results: &[ExperimentResult]) {
     println!("{t}");
 }
 
+/// The `(label, mode)` pair that identifies a `hotpath` run entry.
+fn hotpath_key(run: &Json) -> Result<(&str, &str), String> {
+    Ok((run.get("label")?.as_str()?, run.get("mode")?.as_str()?))
+}
+
+/// Merges one `hotpath` run entry into the `BENCH_hotpath.json` document
+/// `old` (absent on a first run). A prior entry with the same `label`
+/// and `mode` is replaced in place; any other entry is kept as it is,
+/// whatever the old document's layout. The summary fields after `runs`
+/// are recomputed from the merged entries.
+///
+/// # Errors
+/// When `old` is not JSON, has no `runs` array, or an entry lacks its
+/// label or mode — the caller must not overwrite such a file.
+pub fn merge_hotpath(old: Option<&str>, entry: Json) -> Result<Json, String> {
+    let mut runs = match old {
+        Some(text) => Json::parse(text)?.get("runs")?.as_arr()?.to_vec(),
+        None => Vec::new(),
+    };
+    let key = hotpath_key(&entry)?;
+    let keys = runs
+        .iter()
+        .map(hotpath_key)
+        .collect::<Result<Vec<_>, _>>()?;
+    match keys.iter().position(|&k| k == key) {
+        Some(i) => runs[i] = entry,
+        None => runs.push(entry),
+    }
+
+    let full = |label: &str| {
+        runs.iter()
+            .find(|r| hotpath_key(r).ok() == Some((label, "full")))
+    };
+    let speedup = |base: &str, new: &str| -> Option<f64> {
+        let rate = |r: &Json| r.get("events_per_sec").and_then(Json::as_num::<f64>).ok();
+        Some(rate(full(new)?)? / rate(full(base)?)?.max(1e-9))
+    };
+    let mut summary = vec![(
+        "speedup_after_vs_baseline",
+        speedup("baseline", "after").map_or(Json::Null, |s| Json::fixed(s, 2)),
+    )];
+    // The index pair: `index-grid` re-measures the grid structure and
+    // `index` the hybrid on the *same* machine, so their ratio is free
+    // of the cross-machine drift the older baseline/after rows carry.
+    if let Some(s) = speedup("index-grid", "index") {
+        summary.push(("speedup_index_vs_grid", Json::fixed(s, 2)));
+    }
+    // Every full-mode row measures the identical workload, so all their
+    // digests must agree regardless of label or index shape.
+    let full_digests: Vec<&str> = runs
+        .iter()
+        .filter(|r| hotpath_key(r).is_ok_and(|(_, mode)| mode == "full"))
+        .filter_map(|r| r.get("digest").and_then(Json::as_str).ok())
+        .collect();
+    let digests_match = full_digests.windows(2).all(|w| w[0] == w[1]);
+    summary.push(("digests_match", Json::Bool(digests_match)));
+    let head = [("bench", Json::str("hotpath")), ("runs", Json::Arr(runs))];
+    Ok(Json::object(head.into_iter().chain(summary)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +412,117 @@ mod tests {
             r.delivery_completeness() >= 0.95,
             "LB must not lose deliveries"
         );
+    }
+
+    const PINNED_BENCH: &str = include_str!("../../../BENCH_hotpath.json");
+
+    /// `text` laid out the way common JSON printers do it: every member
+    /// on its own line, four-space indent.
+    fn reindent(text: &str) -> String {
+        let (mut out, mut depth, mut in_str, mut escaped) = (String::new(), 0, false, false);
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"    ".repeat(depth));
+        };
+        for c in text.chars() {
+            if in_str {
+                out.push(c);
+                (in_str, escaped) = (escaped || c != '"', !escaped && c == '\\');
+                continue;
+            }
+            match c {
+                '"' => {
+                    in_str = true;
+                    out.push(c);
+                }
+                '{' | '[' => {
+                    depth += 1;
+                    out.push(c);
+                    newline(&mut out, depth);
+                }
+                '}' | ']' => {
+                    depth -= 1;
+                    newline(&mut out, depth);
+                    out.push(c);
+                }
+                ',' => {
+                    out.push(',');
+                    newline(&mut out, depth);
+                }
+                c if c.is_whitespace() => {}
+                ':' => out.push_str(": "),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn labels(doc: &Json) -> Vec<(String, String)> {
+        let runs = doc.get("runs").unwrap().as_arr().unwrap();
+        let key = |r| hotpath_key(r).map(|(l, m)| (l.to_string(), m.to_string()));
+        runs.iter().map(|r| key(r).unwrap()).collect()
+    }
+
+    #[test]
+    fn merge_keeps_entries_of_a_reindented_file() {
+        let pinned = Json::parse(PINNED_BENCH).unwrap();
+        let pinned_runs = pinned.get("runs").unwrap().as_arr().unwrap();
+        assert_eq!(pinned_runs.len(), 8);
+        let reindented = reindent(PINNED_BENCH);
+        assert!(
+            reindented.lines().count() > 100,
+            "every member on its own line"
+        );
+        assert_eq!(Json::parse(&reindented).unwrap(), pinned);
+
+        // A new (label, mode) is appended after all 8 prior entries.
+        let new = Json::object([("label", Json::str("ci")), ("mode", Json::str("quick"))]);
+        let merged = merge_hotpath(Some(&reindented), new.clone()).unwrap();
+        let runs = merged.get("runs").unwrap().as_arr().unwrap();
+        assert_eq!(&runs[..8], pinned_runs);
+        assert_eq!(runs[8], new);
+        for key in [
+            "speedup_after_vs_baseline",
+            "speedup_index_vs_grid",
+            "digests_match",
+        ] {
+            assert_eq!(merged.get(key), pinned.get(key), "{key}");
+        }
+
+        // A rerun of one (label, mode) replaces only that entry, in place.
+        let rerun = Json::object([
+            ("label", Json::str("after")),
+            ("mode", Json::str("quick")),
+            ("digest", Json::str("0x1")),
+        ]);
+        let merged = merge_hotpath(Some(&reindented), rerun.clone()).unwrap();
+        let runs = merged.get("runs").unwrap().as_arr().unwrap();
+        assert_eq!(labels(&merged), labels(&pinned));
+        for (i, (got, was)) in runs.iter().zip(pinned_runs).enumerate() {
+            if i == 3 {
+                assert_eq!(got, &rerun);
+            } else {
+                assert_eq!(got, was);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_refuses_a_file_it_cannot_read() {
+        let entry = || Json::object([("label", Json::str("ci")), ("mode", Json::str("quick"))]);
+        for bad in [
+            "",
+            "{",
+            "[]",
+            "{\"runs\": {}}",
+            "{\"runs\": [{\"mode\": \"full\"}]}",
+        ] {
+            assert!(merge_hotpath(Some(bad), entry()).is_err(), "{bad:?}");
+        }
+        assert!(merge_hotpath(Some(PINNED_BENCH), Json::Null).is_err());
+        let first = merge_hotpath(None, entry()).unwrap();
+        assert_eq!(labels(&first), [("ci".to_string(), "quick".to_string())]);
+        assert_eq!(first.get("speedup_after_vs_baseline"), Ok(&Json::Null));
     }
 
     #[test]

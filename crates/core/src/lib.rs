@@ -81,6 +81,7 @@ pub mod heal;
 pub mod index;
 pub mod install;
 pub mod invariant;
+pub mod json;
 pub mod loadbal;
 pub mod metrics;
 pub mod model;

@@ -6,13 +6,14 @@
 //! counters, the [`ProtoMetrics`](crate::metrics::ProtoMetrics) registry,
 //! and — when a flight recorder was installed — the trace summary.
 //!
-//! The vendored `serde` shim is a no-op marker-trait stand-in, so JSON is
-//! hand-rolled: [`Report::to_json`] emits a stable, human-diffable
-//! document and [`Report::from_json`] parses it back with a minimal
-//! recursive-descent parser. The digest is serialized as a hex *string*
-//! (`"0x…"`) because u64 exceeds the f64-safe integer range of JSON
-//! numbers.
+//! [`Report::to_json`] builds a [`Json`](crate::json::Json) value and
+//! writes it with the crate's one JSON codec, [`crate::json`]: one line
+//! per top-level field, one line per counter and histogram. Its
+//! [`Report::from_json`] reads any document of the same shape back. The
+//! digest is written as a hex *string* (`"0x…"`) because a u64 exceeds
+//! the integer range that `f64`-based JSON readers keep exactly.
 
+use crate::json::Json;
 use crate::metrics::EventStats;
 use crate::sim::Network;
 use hypersub_simnet::NetStats;
@@ -238,20 +239,6 @@ impl Network {
     }
 }
 
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl Report {
     /// Total of the named counter, or 0 when the report predates it —
     /// keeps old baselines comparable as the counter registry grows.
@@ -265,83 +252,67 @@ impl Report {
 
     /// Serializes to a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(2048);
-        o.push_str("{\n");
-        o.push_str("  \"version\": 1,\n");
-        o.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        o.push_str(&format!("  \"time_us\": {},\n", self.time_us));
-        o.push_str(&format!("  \"steps\": {},\n", self.steps));
-        o.push_str(&format!("  \"digest\": \"{:#018x}\",\n", self.digest));
         let e = &self.events;
-        o.push_str(&format!(
-            "  \"events\": {{\"published\": {}, \"expected\": {}, \"delivered\": {}, \
-             \"duplicates\": {}, \"max_hops\": {}, \"max_latency_us\": {}}},\n",
-            e.published, e.expected, e.delivered, e.duplicates, e.max_hops, e.max_latency_us
-        ));
         let n = &self.net;
-        o.push_str(&format!(
-            "  \"net\": {{\"total_msgs\": {}, \"total_bytes\": {}, \"dropped\": {}, \
-             \"fault_dropped\": {}, \"partition_dropped\": {}, \"duplicated\": {}}},\n",
-            n.total_msgs,
-            n.total_bytes,
-            n.dropped,
-            n.fault_dropped,
-            n.partition_dropped,
-            n.duplicated
-        ));
-        o.push_str("  \"counters\": {");
-        for (i, (name, c)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str("\n    ");
-            push_str(&mut o, name);
-            o.push_str(&format!(
-                ": {{\"total\": {}, \"max_node\": {}}}",
-                c.total, c.max_node
-            ));
-        }
-        o.push_str("\n  },\n");
-        o.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str("\n    ");
-            push_str(&mut o, name);
-            o.push_str(&format!(
-                ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                h.count,
-                h.sum,
-                h.max,
-                h.buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        o.push_str("\n  },\n");
-        match &self.trace {
-            None => o.push_str("  \"trace\": null\n"),
-            Some(t) => {
-                o.push_str(&format!(
-                    "  \"trace\": {{\"capacity\": {}, \"recorded\": {}, \"evicted\": {}, \
-                     \"kinds\": {{",
-                    t.capacity, t.recorded, t.evicted
-                ));
-                for (i, (k, c)) in t.kinds.iter().enumerate() {
-                    if i > 0 {
-                        o.push_str(", ");
-                    }
-                    push_str(&mut o, k);
-                    o.push_str(&format!(": {c}"));
-                }
-                o.push_str("}}\n");
-            }
-        }
-        o.push('}');
-        o
+        let counters = self.counters.iter().map(|(name, c)| {
+            let c = Json::object([("total", c.total.into()), ("max_node", c.max_node.into())]);
+            (name.as_str(), c)
+        });
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h.buckets.iter().map(|&b| b.into()).collect();
+            let h = Json::object([
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("max", h.max.into()),
+                ("buckets", Json::Arr(buckets)),
+            ]);
+            (name.as_str(), h)
+        });
+        let trace = match &self.trace {
+            None => Json::Null,
+            Some(t) => Json::object([
+                ("capacity", t.capacity.into()),
+                ("recorded", t.recorded.into()),
+                ("evicted", t.evicted.into()),
+                (
+                    "kinds",
+                    Json::object(t.kinds.iter().map(|(k, c)| (k.as_str(), (*c).into()))),
+                ),
+            ]),
+        };
+        Json::object([
+            ("version", 1.into()),
+            ("nodes", self.nodes.into()),
+            ("time_us", self.time_us.into()),
+            ("steps", self.steps.into()),
+            ("digest", Json::hex(self.digest)),
+            (
+                "events",
+                Json::object([
+                    ("published", e.published.into()),
+                    ("expected", e.expected.into()),
+                    ("delivered", e.delivered.into()),
+                    ("duplicates", e.duplicates.into()),
+                    ("max_hops", e.max_hops.into()),
+                    ("max_latency_us", e.max_latency_us.into()),
+                ]),
+            ),
+            (
+                "net",
+                Json::object([
+                    ("total_msgs", n.total_msgs.into()),
+                    ("total_bytes", n.total_bytes.into()),
+                    ("dropped", n.dropped.into()),
+                    ("fault_dropped", n.fault_dropped.into()),
+                    ("partition_dropped", n.partition_dropped.into()),
+                    ("duplicated", n.duplicated.into()),
+                ]),
+            ),
+            ("counters", Json::object(counters)),
+            ("histograms", Json::object(histograms)),
+            ("trace", trace),
+        ])
+        .write()
     }
 
     /// Parses a document produced by [`Report::to_json`] (any JSON with
@@ -350,90 +321,54 @@ impl Report {
     /// # Errors
     /// A human-readable description of the first syntax or shape problem.
     pub fn from_json(s: &str) -> Result<Report, String> {
-        let v = Json::parse(s)?;
-        let top = v.obj("report")?;
-        let events = {
-            let e = get(top, "events")?.obj("events")?;
-            EventSummary {
-                published: num(e, "published")?,
-                expected: num(e, "expected")?,
-                delivered: num(e, "delivered")?,
-                duplicates: num(e, "duplicates")?,
-                max_hops: num(e, "max_hops")?,
-                max_latency_us: num(e, "max_latency_us")?,
-            }
-        };
-        let net = {
-            let n = get(top, "net")?.obj("net")?;
-            NetSummary {
-                total_msgs: num(n, "total_msgs")?,
-                total_bytes: num(n, "total_bytes")?,
-                dropped: num(n, "dropped")?,
-                fault_dropped: num(n, "fault_dropped")?,
-                partition_dropped: num(n, "partition_dropped")?,
-                duplicated: num(n, "duplicated")?,
-            }
-        };
-        let counters = get(top, "counters")?
-            .obj("counters")?
-            .iter()
-            .map(|(name, v)| {
-                let c = v.obj(name)?;
-                Ok((
-                    name.clone(),
-                    CounterSummary {
-                        total: num(c, "total")?,
-                        max_node: num(c, "max_node")?,
-                    },
-                ))
+        let top = Json::parse(s)?;
+        let events = top.get("events")?;
+        let net = top.get("net")?;
+        let counters = named(top.get("counters")?, |c| {
+            Ok(CounterSummary {
+                total: num(c, "total")?,
+                max_node: num(c, "max_node")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let histograms = get(top, "histograms")?
-            .obj("histograms")?
-            .iter()
-            .map(|(name, v)| {
-                let h = v.obj(name)?;
-                Ok((
-                    name.clone(),
-                    HistSummary {
-                        count: num(h, "count")?,
-                        sum: num(h, "sum")?,
-                        max: num(h, "max")?,
-                        buckets: get(h, "buckets")?
-                            .arr("buckets")?
-                            .iter()
-                            .map(|b| b.num("bucket"))
-                            .collect::<Result<Vec<_>, String>>()?,
-                    },
-                ))
+        })?;
+        let histograms = named(top.get("histograms")?, |h| {
+            let buckets = h.get("buckets")?.as_arr()?.iter().map(Json::as_num);
+            Ok(HistSummary {
+                count: num(h, "count")?,
+                sum: num(h, "sum")?,
+                max: num(h, "max")?,
+                buckets: buckets.collect::<Result<_, _>>()?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let trace = match get(top, "trace")? {
+        })?;
+        let trace = match top.get("trace")? {
             Json::Null => None,
-            v => {
-                let t = v.obj("trace")?;
-                Some(TraceSummary {
-                    capacity: num(t, "capacity")?,
-                    recorded: num(t, "recorded")?,
-                    evicted: num(t, "evicted")?,
-                    kinds: get(t, "kinds")?
-                        .obj("kinds")?
-                        .iter()
-                        .map(|(k, c)| Ok((k.clone(), c.num(k)?)))
-                        .collect::<Result<Vec<_>, String>>()?,
-                })
-            }
+            t => Some(TraceSummary {
+                capacity: num(t, "capacity")?,
+                recorded: num(t, "recorded")?,
+                evicted: num(t, "evicted")?,
+                kinds: named(t.get("kinds")?, Json::as_num)?,
+            }),
         };
-        let digest_s = get(top, "digest")?.str("digest")?;
-        let digest = u64::from_str_radix(digest_s.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("bad digest {digest_s:?}: {e}"))?;
         Ok(Report {
-            nodes: num(top, "nodes")?,
-            time_us: num(top, "time_us")?,
-            steps: num(top, "steps")?,
-            digest,
-            events,
-            net,
+            nodes: num(&top, "nodes")?,
+            time_us: num(&top, "time_us")?,
+            steps: num(&top, "steps")?,
+            digest: top.get("digest")?.as_hex()?,
+            events: EventSummary {
+                published: num(events, "published")?,
+                expected: num(events, "expected")?,
+                delivered: num(events, "delivered")?,
+                duplicates: num(events, "duplicates")?,
+                max_hops: num(events, "max_hops")?,
+                max_latency_us: num(events, "max_latency_us")?,
+            },
+            net: NetSummary {
+                total_msgs: num(net, "total_msgs")?,
+                total_bytes: num(net, "total_bytes")?,
+                dropped: num(net, "dropped")?,
+                fault_dropped: num(net, "fault_dropped")?,
+                partition_dropped: num(net, "partition_dropped")?,
+                duplicated: num(net, "duplicated")?,
+            },
             counters,
             histograms,
             trace,
@@ -441,208 +376,19 @@ impl Report {
     }
 }
 
-/// Minimal JSON value for [`Report::from_json`]. Objects keep insertion
-/// order (a `Vec` of pairs) so round-trips preserve registry ordering.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// The `u64` member `key` of object `obj`.
+fn num(obj: &Json, key: &str) -> Result<u64, String> {
+    obj.get(key)?.as_num().map_err(|e| format!("{key}: {e}"))
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.num(key)
-}
-
-impl Json {
-    fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            other => Err(format!("{what}: expected object, got {other:?}")),
-        }
-    }
-
-    fn arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            other => Err(format!("{what}: expected array, got {other:?}")),
-        }
-    }
-
-    fn num(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("{what}: expected number, got {other:?}")),
-        }
-    }
-
-    fn str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("{what}: expected string, got {other:?}")),
-        }
-    }
-
-    /// Recursive-descent parser over the subset of JSON reports use:
-    /// objects, arrays, strings (with the escapes `to_json` emits),
-    /// non-negative integers, and `null`.
-    fn parse(s: &str) -> Result<Json, String> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = Self::value(b, &mut pos)?;
-        Self::ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        Self::ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut o = Vec::new();
-                Self::ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(o));
-                }
-                loop {
-                    Self::ws(b, pos);
-                    let k = Self::string(b, pos)?;
-                    Self::ws(b, pos);
-                    Self::expect(b, pos, b':')?;
-                    o.push((k, Self::value(b, pos)?));
-                    Self::ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(o));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut a = Vec::new();
-                Self::ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(a));
-                }
-                loop {
-                    a.push(Self::value(b, pos)?);
-                    Self::ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(a));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::Str(Self::string(b, pos)?)),
-            Some(b'n') => {
-                if b[*pos..].starts_with(b"null") {
-                    *pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at byte {pos}"))
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .unwrap()
-                    .parse()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number at byte {start}: {e}"))
-            }
-            _ => Err(format!("unexpected input at byte {pos}")),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        Self::expect(b, pos, b'"')?;
-        let mut out = String::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| format!("truncated \\u at byte {pos}"))?;
-                            let cp = u32::from_str_radix(std::str::from_utf8(hex).unwrap(), 16)
-                                .map_err(|e| format!("bad \\u escape at byte {pos}: {e}"))?;
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| format!("bad codepoint at byte {pos}"))?,
-                            );
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                c => {
-                    // Multi-byte UTF-8 passes through untouched.
-                    let ch_len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    out.push_str(
-                        std::str::from_utf8(&b[*pos..*pos + ch_len])
-                            .map_err(|e| format!("bad utf8 at byte {pos}: {e}"))?,
-                    );
-                    *pos += ch_len;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
+/// The members of object `obj`, each value converted by `read`.
+fn named<T>(
+    obj: &Json,
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    let member =
+        |(k, v): &(String, Json)| Ok((k.clone(), read(v).map_err(|e| format!("{k}: {e}"))?));
+    obj.as_obj()?.iter().map(member).collect()
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! scenario run.
 
 use hypersub_core::invariant::Verdict;
+use hypersub_core::json::Json;
 use hypersub_core::prelude::*;
 use hypersub_workload::{AttributeSpec, WorkloadSpec};
 
@@ -129,51 +130,37 @@ impl ScenarioOutcome {
 
     /// Serializes the outcome as a stable, human-diffable JSON document.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(1024);
-        o.push_str("{\n");
-        o.push_str("  \"version\": 1,\n");
-        o.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
-        o.push_str(&format!("  \"tier\": \"{}\",\n", self.tier.as_str()));
-        o.push_str(&format!("  \"seed\": {},\n", self.seed));
-        o.push_str(&format!("  \"defense\": {},\n", self.defense));
-        o.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        o.push_str(&format!("  \"sim_time_us\": {},\n", self.sim_time_us));
-        o.push_str(&format!("  \"steps\": {},\n", self.steps));
-        o.push_str(&format!("  \"digest\": \"{:#018x}\",\n", self.digest));
-        o.push_str(&format!(
-            "  \"events\": {{\"published\": {}, \"expected\": {}, \"delivered\": {}, \
-             \"duplicates\": {}}},\n",
-            self.published, self.expected, self.delivered, self.duplicates
-        ));
-        o.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        o.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"invariant\": ");
-            json_str(&mut o, &v.invariant);
-            o.push_str(&format!(", \"passed\": {}, \"details\": ", v.passed));
-            json_str(&mut o, &v.details);
-            o.push('}');
-        }
-        o.push_str("\n  ]\n}");
-        o
+        let verdicts = self.verdicts.iter().map(|v| {
+            Json::object([
+                ("invariant", Json::str(&v.invariant)),
+                ("passed", Json::Bool(v.passed)),
+                ("details", Json::str(&v.details)),
+            ])
+        });
+        Json::object([
+            ("version", 1.into()),
+            ("scenario", Json::str(self.scenario)),
+            ("tier", Json::str(self.tier.as_str())),
+            ("seed", self.seed.into()),
+            ("defense", Json::Bool(self.defense)),
+            ("nodes", self.nodes.into()),
+            ("sim_time_us", self.sim_time_us.into()),
+            ("steps", self.steps.into()),
+            ("digest", Json::hex(self.digest)),
+            (
+                "events",
+                Json::object([
+                    ("published", self.published.into()),
+                    ("expected", self.expected.into()),
+                    ("delivered", self.delivered.into()),
+                    ("duplicates", self.duplicates.into()),
+                ]),
+            ),
+            ("passed", Json::Bool(self.passed())),
+            ("verdicts", Json::Arr(verdicts.collect())),
+        ])
+        .write()
     }
-}
-
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The single-scheme content space every scenario runs over: two

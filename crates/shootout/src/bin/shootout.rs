@@ -6,11 +6,12 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 equivalence violation or digest drift
-//! against `--expect`, 2 usage error.
+//! against `--expect`, 2 usage error or an `--expect` reference that
+//! does not parse or lists no runs.
 
 use hypersub_shootout::{
-    all_systems, digests_from_json, render_table, run_rung, shootout_json, system_by_name,
-    RungOutcome, System, FULL_LADDER, QUICK_LADDER,
+    all_systems, digest_drift, render_table, run_rung, shootout_json, system_by_name, RungOutcome,
+    System, FULL_LADDER, QUICK_LADDER,
 };
 use std::process::ExitCode;
 
@@ -78,22 +79,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Compares this run's deterministic digests against a pinned reference
-/// document; returns drift descriptions.
-fn digest_drift(doc: &str, reference: &str) -> Vec<String> {
-    let got = digests_from_json(doc);
-    let want = digests_from_json(reference);
-    let mut drift = Vec::new();
-    for (sys, nodes, d) in &want {
-        match got.iter().find(|(s, n, _)| s == sys && n == nodes) {
-            Some((_, _, g)) if g == d => {}
-            Some((_, _, g)) => drift.push(format!("{sys} @ {nodes} nodes: digest {g}, pinned {d}")),
-            None => drift.push(format!("{sys} @ {nodes} nodes: missing from this run")),
-        }
-    }
-    drift
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -152,17 +137,21 @@ fn main() -> ExitCode {
     let mut failed = !outcomes.iter().all(|o| o.ok());
     if let Some(refpath) = &args.expect {
         match std::fs::read_to_string(refpath) {
-            Ok(reference) => {
-                let drift = digest_drift(&doc, &reference);
-                if drift.is_empty() {
+            Ok(reference) => match digest_drift(&doc, &reference) {
+                Ok(drift) if drift.is_empty() => {
                     println!("digests match pinned reference {refpath}");
-                } else {
+                }
+                Ok(drift) => {
                     for d in drift {
                         eprintln!("DIGEST DRIFT: {d}");
                     }
                     failed = true;
                 }
-            }
+                Err(e) => {
+                    eprintln!("shootout: bad --expect {refpath}: {e}");
+                    return ExitCode::from(2);
+                }
+            },
             Err(e) => {
                 eprintln!("shootout: cannot read --expect {refpath}: {e}");
                 return ExitCode::from(2);

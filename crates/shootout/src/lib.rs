@@ -53,6 +53,7 @@ use hypersub_baselines::subgroup::SubgroupNode;
 use hypersub_chord::ChordState;
 use hypersub_core::config::SystemConfig;
 use hypersub_core::error::Result;
+use hypersub_core::json::Json;
 use hypersub_core::metrics::EventStats;
 use hypersub_core::model::{Registry, SubId};
 use hypersub_core::report::Report;
@@ -62,7 +63,6 @@ use hypersub_simnet::SimTime;
 use hypersub_stats::{LoadDist, Table};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One rung of the size ladder: (nodes, subs per node, events).
@@ -518,97 +518,107 @@ pub fn run_rung(systems: &[Box<dyn System>], rung: Rung, seed: u64) -> Result<Ru
     })
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 /// Renders the unified `SHOOTOUT.json` document. Everything in it is
 /// deterministic for a fixed seed except each run's `"timing"` object
 /// (wall-clock throughput), which exists for context and is ignored by
 /// [`digests_from_json`] comparisons.
 pub fn shootout_json(seed: u64, tier: &str, outcomes: &[RungOutcome]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"version\": 1,");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"tier\": \"{tier}\",");
-    let all_ok = outcomes.iter().all(|o| o.ok());
-    let _ = writeln!(s, "  \"equivalence_ok\": {all_ok},");
-    s.push_str("  \"runs\": [\n");
-    let total = outcomes.iter().map(|o| o.runs.len()).sum::<usize>();
-    let mut i = 0;
-    for o in outcomes {
-        for r in &o.runs {
-            i += 1;
-            let load = r.load_dist();
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"system\": \"{}\",", r.system);
-            let _ = writeln!(s, "      \"nodes\": {},", r.nodes);
-            let _ = writeln!(s, "      \"subs_per_node\": {},", r.subs_per_node);
-            let _ = writeln!(s, "      \"events\": {},", r.events);
-            let _ = writeln!(s, "      \"digest\": \"{:#018x}\",", r.report.digest);
-            let _ = writeln!(s, "      \"equivalence\": {},", r.equivalent());
-            let _ = writeln!(s, "      \"expected_pairs\": {},", r.expected.len());
-            let _ = writeln!(s, "      \"delivered_pairs\": {},", r.delivered.len());
-            let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
-            let _ = writeln!(s, "      \"duplicates\": {dups},");
-            let _ = writeln!(s, "      \"avg_max_hops\": {},", json_f64(r.avg_max_hops()));
-            let _ = writeln!(s, "      \"max_hops\": {},", r.max_hops());
-            let _ = writeln!(s, "      \"install_msgs\": {},", r.install_msgs);
-            let _ = writeln!(s, "      \"install_bytes\": {},", r.install_bytes);
-            let _ = writeln!(s, "      \"total_msgs\": {},", r.report.net.total_msgs);
-            let _ = writeln!(s, "      \"total_bytes\": {},", r.report.net.total_bytes);
-            let _ = writeln!(
-                s,
-                "      \"bytes_per_event\": {},",
-                json_f64(r.bytes_per_event())
-            );
-            let _ = writeln!(
-                s,
-                "      \"load\": {{ \"p50\": {}, \"p99\": {}, \"max\": {}, \"gini\": {} }},",
-                json_f64(load.p50),
-                json_f64(load.p99),
-                json_f64(load.max),
-                json_f64(load.gini)
-            );
-            let _ = writeln!(
-                s,
-                "      \"timing\": {{ \"wall_secs\": {}, \"sim_events_per_sec\": {} }}",
-                json_f64(r.wall_secs),
-                json_f64(r.sim_events_per_sec())
-            );
-            s.push_str(if i == total { "    }\n" } else { "    },\n" });
-        }
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let runs = outcomes.iter().flat_map(|o| &o.runs).map(|r| {
+        let load = r.load_dist();
+        let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
+        let count = |n: usize| Json::from(n as u64);
+        let real = |v: f64| Json::fixed(v, 6);
+        Json::object([
+            ("system", Json::str(r.system)),
+            ("nodes", count(r.nodes)),
+            ("subs_per_node", count(r.subs_per_node)),
+            ("events", count(r.events)),
+            ("digest", Json::hex(r.report.digest)),
+            ("equivalence", Json::Bool(r.equivalent())),
+            ("expected_pairs", count(r.expected.len())),
+            ("delivered_pairs", count(r.delivered.len())),
+            ("duplicates", count(dups)),
+            ("avg_max_hops", real(r.avg_max_hops())),
+            ("max_hops", u64::from(r.max_hops()).into()),
+            ("install_msgs", r.install_msgs.into()),
+            ("install_bytes", r.install_bytes.into()),
+            ("total_msgs", r.report.net.total_msgs.into()),
+            ("total_bytes", r.report.net.total_bytes.into()),
+            ("bytes_per_event", real(r.bytes_per_event())),
+            (
+                "load",
+                Json::object([
+                    ("p50", real(load.p50)),
+                    ("p99", real(load.p99)),
+                    ("max", real(load.max)),
+                    ("gini", real(load.gini)),
+                ]),
+            ),
+            (
+                "timing",
+                Json::object([
+                    ("wall_secs", real(r.wall_secs)),
+                    ("sim_events_per_sec", real(r.sim_events_per_sec())),
+                ]),
+            ),
+        ])
+    });
+    Json::object([
+        ("version", 1.into()),
+        ("seed", seed.into()),
+        ("tier", Json::str(tier)),
+        (
+            "equivalence_ok",
+            Json::Bool(outcomes.iter().all(|o| o.ok())),
+        ),
+        ("runs", Json::Arr(runs.collect())),
+    ])
+    .write()
 }
 
 /// Extracts the deterministic `(system, nodes, digest)` triples from a
-/// `SHOOTOUT.json` document (this crate's own format), for digest-drift
-/// comparison against a pinned reference.
-pub fn digests_from_json(doc: &str) -> Vec<(String, u64, String)> {
-    let mut out = Vec::new();
-    let (mut system, mut nodes) = (None::<String>, None::<u64>);
-    for line in doc.lines() {
-        let line = line.trim();
-        if let Some(v) = line.strip_prefix("\"system\": \"") {
-            system = v.strip_suffix("\",").map(str::to_string);
-        } else if let Some(v) = line.strip_prefix("\"nodes\": ") {
-            nodes = v.trim_end_matches(',').parse().ok();
-        } else if let Some(v) = line.strip_prefix("\"digest\": \"") {
-            if let (Some(sys), Some(n)) = (system.take(), nodes.take()) {
-                if let Some(d) = v.strip_suffix("\",") {
-                    out.push((sys, n, d.to_string()));
-                }
-            }
+/// `SHOOTOUT.json` document, for digest-drift comparison against a
+/// pinned reference.
+///
+/// # Errors
+/// When `doc` is not JSON or a run lacks one of the three fields.
+pub fn digests_from_json(doc: &str) -> std::result::Result<Vec<(String, u64, String)>, String> {
+    Json::parse(doc)?
+        .get("runs")?
+        .as_arr()?
+        .iter()
+        .map(|r| {
+            Ok((
+                r.get("system")?.as_str()?.to_string(),
+                r.get("nodes")?.as_num()?,
+                r.get("digest")?.as_str()?.to_string(),
+            ))
+        })
+        .collect()
+}
+
+/// Compares the digests of the `SHOOTOUT.json` document `doc` against a
+/// pinned `reference`; returns one description per drifted or missing
+/// run.
+///
+/// # Errors
+/// When either document does not parse, or `reference` lists no runs
+/// (a reference that pins nothing would pass any run).
+pub fn digest_drift(doc: &str, reference: &str) -> std::result::Result<Vec<String>, String> {
+    let got = digests_from_json(doc).map_err(|e| format!("this run: {e}"))?;
+    let want = digests_from_json(reference).map_err(|e| format!("reference: {e}"))?;
+    if want.is_empty() {
+        return Err("reference lists no runs".to_string());
+    }
+    let mut drift = Vec::new();
+    for (sys, nodes, d) in &want {
+        match got.iter().find(|(s, n, _)| s == sys && n == nodes) {
+            Some((_, _, g)) if g == d => {}
+            Some((_, _, g)) => drift.push(format!("{sys} @ {nodes} nodes: digest {g}, pinned {d}")),
+            None => drift.push(format!("{sys} @ {nodes} nodes: missing from this run")),
         }
     }
-    out
+    Ok(drift)
 }
 
 /// Renders one rung's side-by-side comparison table.
@@ -692,10 +702,36 @@ mod tests {
     fn json_roundtrips_digests() {
         let out = run_rung(&all_systems(), (24, 2, 6), 3).unwrap();
         let doc = shootout_json(3, "test", &[out]);
-        let digests = digests_from_json(&doc);
+        let digests = digests_from_json(&doc).unwrap();
         assert_eq!(digests.len(), 5);
         assert_eq!(digests[0].0, "hypersub");
         assert_eq!(digests[0].1, 24);
         assert!(digests.iter().all(|(_, _, d)| d.starts_with("0x")));
+    }
+
+    const PINNED_QUICK: &str = include_str!("../../../results/SHOOTOUT_quick.json");
+
+    #[test]
+    fn pinned_quick_reference_matches_itself() {
+        assert_eq!(digest_drift(PINNED_QUICK, PINNED_QUICK), Ok(vec![]));
+        assert_eq!(digests_from_json(PINNED_QUICK).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn empty_or_unparsable_reference_is_an_error() {
+        assert!(digest_drift(PINNED_QUICK, "").is_err());
+        assert!(digest_drift(PINNED_QUICK, "{\"runs\": []}").is_err());
+        assert!(digest_drift(PINNED_QUICK, "{\"runs\": [{\"system\": \"x\"}]}").is_err());
+    }
+
+    #[test]
+    fn one_line_reference_with_a_wrong_digest_drifts() {
+        let reference =
+            r#"{"runs": [{"system": "hypersub", "nodes": 1000, "digest": "0x0000000000000001"}]}"#;
+        let drift = digest_drift(PINNED_QUICK, reference).unwrap();
+        assert_eq!(
+            drift,
+            ["hypersub @ 1000 nodes: digest 0x19d4f30c5ba5b114, pinned 0x0000000000000001"]
+        );
     }
 }
