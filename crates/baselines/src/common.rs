@@ -3,21 +3,18 @@
 //! baseline the same builder / typed-error / [`Report`] surface as
 //! HyperSub's `Network`.
 
-use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::ChordState;
 use hypersub_core::digest::run_digest;
 use hypersub_core::error::{HyperSubError, Result};
 use hypersub_core::metrics::{DeliveryRecord, EventStats, Metrics};
 use hypersub_core::model::{Event, SubId, SubTarget, Subscription};
-use hypersub_core::report::{CounterSummary, EventSummary, HistSummary, NetSummary, Report};
+use hypersub_core::report::{CounterSummary, Report};
+use hypersub_core::sim::{Substrate, TopologyKind};
 use hypersub_core::world::Oracle;
 use hypersub_lph::Point;
-use hypersub_simnet::{
-    KingLikeTopology, NetStats, Node, NodeRuntime, Payload, Sim, SimTime, Topology, UniformTopology,
-};
+use hypersub_simnet::{NetStats, Node, NodeRuntime, Payload, Sim, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Timer token base for scripted publishes — shared by every baseline
 /// node type, so one driver can script any of them.
@@ -57,36 +54,26 @@ pub trait BaselineNode: Node<Self::Msg, BaselineWorld> + 'static {
     fn load(&self) -> u64;
 }
 
-/// Builder for a [`BaselineNet`]: the same knobs as
-/// `Network::builder()` (size, seed, topology, ring) with the same typed
-/// [`HyperSubError`] validation, and — deliberately — the same seed
-/// derivations, so a baseline run and a HyperSub run with equal seeds get
-/// bit-identical topologies and rings.
+/// Builder for a [`BaselineNet`]: the same size, seed and topology
+/// knobs as `Network::builder()`, and the same substrate — both builders
+/// derive it with [`Substrate::derive`], so a baseline run and a
+/// HyperSub run with equal seeds get bit-identical topologies and rings.
 #[derive(Debug, Clone)]
 pub struct BaselineNetBuilder {
     nodes: usize,
     seed: u64,
-    ring: RingConfig,
-    topology: BaselineTopology,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BaselineTopology {
-    Uniform(SimTime),
-    KingLike(SimTime),
+    topology: TopologyKind,
 }
 
 impl BaselineNetBuilder {
     /// Starts building an `nodes`-node baseline network. Defaults match
-    /// `Network::builder()`: uniform 10 ms links, default ring, seed 0.
-    /// The node type is fixed by the closure given to
-    /// [`Self::build_with`].
+    /// `Network::builder()`: uniform 10 ms links, seed 0. The node type
+    /// is fixed by the closure given to [`Self::build_with`].
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
             seed: 0,
-            ring: RingConfig::default(),
-            topology: BaselineTopology::Uniform(SimTime::from_millis(10)),
+            topology: TopologyKind::Uniform(SimTime::from_millis(10)),
         }
     }
 
@@ -96,21 +83,9 @@ impl BaselineNetBuilder {
         self
     }
 
-    /// Uniform one-way latency on every link.
-    pub fn latency(mut self, one_way: SimTime) -> Self {
-        self.topology = BaselineTopology::Uniform(one_way);
-        self
-    }
-
-    /// King-dataset-like latency with the given mean RTT.
-    pub fn king_like(mut self, mean_rtt: SimTime) -> Self {
-        self.topology = BaselineTopology::KingLike(mean_rtt);
-        self
-    }
-
-    /// Overrides the ring configuration.
-    pub fn ring(mut self, ring: RingConfig) -> Self {
-        self.ring = ring;
+    /// Sets the latency model.
+    pub fn topology(mut self, topology: TopologyKind) -> Self {
+        self.topology = topology;
         self
     }
 
@@ -118,33 +93,16 @@ impl BaselineNetBuilder {
     /// `make` (which receives the node's stabilized Chord state).
     ///
     /// # Errors
-    /// [`HyperSubError::InvalidConfig`] when the network would be empty.
+    /// [`HyperSubError::InvalidConfig`] when the network would be empty
+    /// or a custom topology's size differs from the node count.
     pub fn build_with<N, F>(self, make: F) -> Result<BaselineNet<N>>
     where
         N: BaselineNode,
         F: FnMut(ChordState) -> N,
     {
-        let mut make = make;
-        if self.nodes == 0 {
-            return Err(HyperSubError::InvalidConfig(
-                "network needs at least one node",
-            ));
-        }
-        // Identical derivations to `Network::build`: seed ^ 0x7090 for the
-        // topology, `seed` for the ring, seed ^ 0x51ed for the simulator.
-        let topo: Arc<dyn Topology> = match self.topology {
-            BaselineTopology::Uniform(l) => Arc::new(UniformTopology::new(self.nodes, l)),
-            BaselineTopology::KingLike(rtt) => Arc::new(KingLikeTopology::generate(
-                self.nodes,
-                rtt,
-                self.seed ^ 0x7090,
-            )),
-        };
-        let states = build_ring(&self.ring, topo.as_ref(), self.seed);
-        let nodes: Vec<N> = states.into_iter().map(&mut make).collect();
-        let sim = Sim::new(topo, nodes, BaselineWorld::default(), self.seed ^ 0x51ed);
+        let substrate = Substrate::derive(self.nodes, &self.topology, self.seed)?;
         Ok(BaselineNet {
-            sim,
+            sim: substrate.into_sim(make, BaselineWorld::default()),
             next_event_id: 1,
         })
     }
@@ -277,57 +235,14 @@ impl<N: BaselineNode> BaselineNet<N> {
     /// `ProtoMetrics` registry plus one baseline-specific namespace,
     /// `load.stored_entries` (total and hottest-node stored entries).
     pub fn report(&self) -> Report {
-        let stats = self.event_stats();
-        let events = EventSummary::from_stats(&stats);
-        let net = NetSummary::from_net(self.sim.net());
-        let proto = &self.sim.world().metrics.proto;
-        let mut counters: Vec<(String, CounterSummary)> = proto
-            .counters()
-            .iter()
-            .map(|&(name, c)| {
-                (
-                    name.to_string(),
-                    CounterSummary {
-                        total: c.total(),
-                        max_node: c.max(),
-                    },
-                )
-            })
-            .collect();
-        let loads = self.node_loads();
-        counters.push((
-            "load.stored_entries".to_string(),
-            CounterSummary {
-                total: loads.iter().sum(),
-                max_node: loads.iter().copied().max().unwrap_or(0),
-            },
-        ));
-        let histograms = proto
-            .histograms()
-            .iter()
-            .map(|&(name, h)| {
-                (
-                    name.to_string(),
-                    HistSummary {
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                        buckets: h.buckets().to_vec(),
-                    },
-                )
-            })
-            .collect();
-        Report {
-            nodes: self.sim.len() as u64,
-            time_us: self.sim.time().as_micros(),
-            steps: self.sim.steps(),
-            digest: self.run_digest(),
-            events,
-            net,
-            counters,
-            histograms,
-            trace: None,
-        }
+        let w = self.sim.world();
+        let loads = CounterSummary::over(self.node_loads());
+        Report::of_run(
+            &self.sim,
+            &w.metrics,
+            w.oracle.len(),
+            [("load.stored_entries", loads)],
+        )
     }
 }
 
@@ -362,7 +277,9 @@ pub fn to_targets(matched: Vec<SubId>) -> Vec<SubTarget> {
 mod tests {
     use super::*;
     use crate::rendezvous::RendezvousNode;
+    use hypersub_chord::builder::{build_ring, RingConfig};
     use hypersub_lph::Rect;
+    use hypersub_simnet::UniformTopology;
 
     #[test]
     fn split_routes_each_target_somewhere() {

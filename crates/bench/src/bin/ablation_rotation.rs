@@ -11,7 +11,7 @@ use hypersub_core::config::SystemConfig;
 use hypersub_core::model::{Registry, SchemeDef};
 use hypersub_core::sim::{Network, TopologyKind};
 use hypersub_simnet::SimTime;
-use hypersub_stats::Table;
+use hypersub_stats::{gini, Table};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
 use rayon::prelude::*;
 
@@ -38,28 +38,6 @@ struct Outcome {
     mean_load: f64,
     gini: f64,
     complete: f64,
-}
-
-/// Gini coefficient of the load distribution (0 = perfectly even).
-fn gini(loads: &[u64]) -> f64 {
-    let n = loads.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = loads.iter().map(|&l| l as f64).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let sum: f64 = v.iter().sum();
-    if sum == 0.0 {
-        return 0.0;
-    }
-    let mut cum = 0.0;
-    let mut weighted = 0.0;
-    for (i, x) in v.iter().enumerate() {
-        cum += x;
-        weighted += cum - x / 2.0;
-        let _ = i;
-    }
-    1.0 - 2.0 * weighted / (n as f64 * sum)
 }
 
 fn run(rotation: bool, quick: bool) -> Outcome {
@@ -102,7 +80,7 @@ fn run(rotation: bool, quick: bool) -> Outcome {
         label: format!("rotation {}", if rotation { "on" } else { "off" }),
         max_load: loads.iter().copied().max().unwrap_or(0),
         mean_load: loads.iter().sum::<u64>() as f64 / loads.len().max(1) as f64,
-        gini: gini(&loads),
+        gini: gini(&loads.iter().map(|&l| l as f64).collect::<Vec<_>>()),
         complete: events.iter().filter(|e| e.delivered == e.expected).count() as f64
             / events.len().max(1) as f64,
     }

@@ -4,8 +4,11 @@
 //! `Network::report()` generally) produce — see `hypersub_core::report`.
 //!
 //! Usage:
-//!   report summarize <FILE>
-//!   report diff <BASELINE> <CANDIDATE>
+//!
+//! ```text
+//! report summarize <FILE>
+//! report diff <BASELINE> <CANDIDATE>
+//! ```
 //!
 //! `diff` prints per-field deltas and exits nonzero when the two runs'
 //! digests differ, when any `repair.*` counter drifts (a counter

@@ -13,9 +13,9 @@
 //! | `ablation_base`    | zone base β sweep                                |
 //! | `ablation_rotation`| zone-mapping rotation on/off, multi-scheme       |
 //! | `ablation_subscheme`| §3.5 sub-scheme decomposition on/off            |
-//! | `baseline_compare` | HyperSub vs Ferry-style vs attribute-ring        |
 //!
-//! All binaries accept `--quick` (scaled-down run for smoke testing) and
+//! The §2 comparison against rival designs is the `shootout` binary of
+//! `hypersub-shootout`. All binaries here accept `--quick` (scaled-down run for smoke testing) and
 //! print diffable ASCII tables via `hypersub-stats`.
 
 use hypersub_core::config::SystemConfig;

@@ -66,7 +66,7 @@
 //! Runs can be observed without being perturbed: a bounded
 //! *flight recorder* ([`NetworkBuilder::flight_recorder`]) captures
 //! structured trace events (network verdicts plus protocol events such as
-//! retries, rendezvous matches, and migrations), and [`Network::report`]
+//! retries, rendezvous matches, and migrations), and [`Network::report`](sim::Network::report)
 //! exports a JSON [`report::Report`] bundling the trace summary, protocol
 //! metrics, and the run digest. Recording is off by default and never
 //! changes run behavior — the golden digests prove it.

@@ -6,17 +6,21 @@
 //! counters, the [`ProtoMetrics`](crate::metrics::ProtoMetrics) registry,
 //! and — when a flight recorder was installed — the trace summary.
 //!
-//! [`Report::to_json`] builds a [`Json`](crate::json::Json) value and
-//! writes it with the crate's one JSON codec, [`crate::json`]: one line
-//! per top-level field, one line per counter and histogram. Its
-//! [`Report::from_json`] reads any document of the same shape back. The
-//! digest is written as a hex *string* (`"0x…"`) because a u64 exceeds
-//! the integer range that `f64`-based JSON readers keep exactly.
+//! [`Report::of_run`] assembles a report from any simulator run, so
+//! HyperSub and every baseline emit the same shape. [`Report::to_json`]
+//! builds a [`Json`] value and writes it with the crate's one JSON
+//! codec, [`crate::json`]: one line per top-level field, one line per
+//! counter and histogram. Its [`Report::from_json`] reads any document
+//! of the same shape back. The digest is written as a hex *string*
+//! (`"0x…"`) because a u64 exceeds the integer range that `f64`-based
+//! JSON readers keep exactly.
 
+use crate::digest::run_digest;
+use crate::index::IndexDiag;
 use crate::json::Json;
-use crate::metrics::EventStats;
+use crate::metrics::{EventStats, Metrics};
 use crate::sim::Network;
-use hypersub_simnet::NetStats;
+use hypersub_simnet::{NetStats, Payload, Sim};
 
 /// Aggregate delivery outcome over all published events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -144,62 +148,73 @@ pub struct Report {
     pub trace: Option<TraceSummary>,
 }
 
+impl CounterSummary {
+    /// Total and hottest node of a per-node count.
+    pub fn over(per_node: impl IntoIterator<Item = u64>) -> Self {
+        per_node.into_iter().fold(Self::default(), |s, v| Self {
+            total: s.total + v,
+            max_node: s.max_node.max(v),
+        })
+    }
+}
+
 impl Network {
-    /// Snapshots this run into a [`Report`].
+    /// Snapshots this run into a [`Report`]. Besides the shared
+    /// registry, the counters carry matching-index occupancy summed over
+    /// every node's zone repos. The ratio registrations/entries is the
+    /// *duplication factor* the hotpath bench prints; exporting both
+    /// sides lets `report diff` guard its drift between pinned runs (and
+    /// cap it in CI). `bytes` is resident index memory,
+    /// `covering_collapsed` the entries absorbed under a coverer,
+    /// `candidates_scanned` the cumulative verification probes indexed
+    /// queries performed.
     pub fn report(&self) -> Report {
-        let stats = self.event_stats();
-        let events = EventSummary::from_stats(&stats);
-        let net = NetSummary::from_net(self.net());
-        let proto = &self.metrics().proto;
-        let mut counters: Vec<(String, CounterSummary)> = proto
+        let diags: Vec<IndexDiag> = self.nodes().iter().map(|n| n.index_diag()).collect();
+        let index = |field: fn(&IndexDiag) -> u64| CounterSummary::over(diags.iter().map(field));
+        Report::of_run(
+            &self.sim,
+            self.metrics(),
+            self.sim.world().oracle.len(),
+            [
+                ("index.entries", index(|d| d.entries)),
+                ("index.registrations", index(|d| d.registrations)),
+                ("index.bytes", index(|d| d.bytes)),
+                ("index.covering_collapsed", index(|d| d.covering_collapsed)),
+                ("index.candidates_scanned", index(|d| d.candidates_scanned)),
+            ],
+        )
+    }
+}
+
+impl Report {
+    /// Assembles the report of a run on `sim` whose world keeps
+    /// `metrics` and an oracle of `subscriptions` subscriptions. The
+    /// counters are the shared [`ProtoMetrics`](crate::metrics::ProtoMetrics)
+    /// registry followed by the system's own `extra` counters, in order.
+    /// [`Network::report`] and the baselines' `BaselineNet::report` both
+    /// build their reports here, so every system's report has one shape.
+    pub fn of_run<N, M: Payload, W>(
+        sim: &Sim<N, M, W>,
+        metrics: &Metrics,
+        subscriptions: usize,
+        extra: impl IntoIterator<Item = (&'static str, CounterSummary)>,
+    ) -> Report {
+        let proto = &metrics.proto;
+        let counters = proto
             .counters()
             .iter()
             .map(|&(name, c)| {
                 (
-                    name.to_string(),
+                    name,
                     CounterSummary {
                         total: c.total(),
                         max_node: c.max(),
                     },
                 )
             })
+            .chain(extra)
+            .map(|(name, c)| (name.to_string(), c))
             .collect();
-        // Matching-index occupancy, summed over every node's zone repos.
-        // The ratio registrations/entries is the *duplication factor* the
-        // hotpath bench prints; exporting both sides lets `report diff`
-        // guard its drift between pinned runs (and cap it in CI).
-        // `bytes` is resident index memory, `covering_collapsed` the
-        // entries absorbed under a coverer, `candidates_scanned` the
-        // cumulative verification probes indexed queries performed.
-        let mut per_node = Vec::with_capacity(5);
-        for _ in 0..5 {
-            per_node.push(CounterSummary::default());
-        }
-        for n in self.nodes() {
-            let d = n.index_diag();
-            for (slot, v) in per_node.iter_mut().zip([
-                d.entries,
-                d.registrations,
-                d.bytes,
-                d.covering_collapsed,
-                d.candidates_scanned,
-            ]) {
-                slot.total += v;
-                slot.max_node = slot.max_node.max(v);
-            }
-        }
-        for (name, summary) in [
-            "index.entries",
-            "index.registrations",
-            "index.bytes",
-            "index.covering_collapsed",
-            "index.candidates_scanned",
-        ]
-        .into_iter()
-        .zip(per_node)
-        {
-            counters.push((name.to_string(), summary));
-        }
         let histograms = proto
             .histograms()
             .iter()
@@ -215,7 +230,7 @@ impl Network {
                 )
             })
             .collect();
-        let trace = self.recorder().map(|r| TraceSummary {
+        let trace = sim.recorder().map(|r| TraceSummary {
             capacity: r.capacity() as u64,
             recorded: r.recorded(),
             evicted: r.evicted(),
@@ -226,20 +241,18 @@ impl Network {
                 .collect(),
         });
         Report {
-            nodes: self.len() as u64,
-            time_us: self.time().as_micros(),
-            steps: self.steps(),
-            digest: self.run_digest(),
-            events,
-            net,
+            nodes: sim.len() as u64,
+            time_us: sim.time().as_micros(),
+            steps: sim.steps(),
+            digest: run_digest(metrics.deliveries(), sim.net()),
+            events: EventSummary::from_stats(&metrics.event_stats(subscriptions, sim.net())),
+            net: NetSummary::from_net(sim.net()),
             counters,
             histograms,
             trace,
         }
     }
-}
 
-impl Report {
     /// Total of the named counter, or 0 when the report predates it —
     /// keeps old baselines comparable as the counter registry grows.
     pub fn counter_total(&self, name: &str) -> u64 {

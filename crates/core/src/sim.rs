@@ -12,9 +12,10 @@ use crate::node::{
 };
 use crate::world::HyperWorld;
 use hypersub_chord::builder::{build_ring, RingConfig};
+use hypersub_chord::ChordState;
 use hypersub_lph::Point;
 use hypersub_simnet::{
-    FlightRecorder, KingLikeTopology, NetStats, Sim, SimSnapshot, SimTime, Topology,
+    FlightRecorder, KingLikeTopology, NetStats, Payload, Sim, SimSnapshot, SimTime, Topology,
     UniformTopology,
 };
 use hypersub_snapshot::{Decode, Encode, Reader, Writer};
@@ -39,6 +40,72 @@ impl std::fmt::Debug for TopologyKind {
             TopologyKind::KingLike(t) => write!(f, "KingLike(mean_rtt={t})"),
             TopologyKind::Custom(_) => write!(f, "Custom"),
         }
+    }
+}
+
+/// What every simulated system in the workspace runs on: the latency
+/// model, the stabilized Chord ring, and the simulator's RNG seed, all
+/// derived from one master seed. [`NetworkBuilder::build`] and the
+/// baselines' `BaselineNetBuilder::build_with` both start here, so with
+/// equal seeds node `i` has the same Chord id and the same link
+/// latencies in every system.
+pub struct Substrate {
+    /// The latency model.
+    topology: Arc<dyn Topology>,
+    /// Seed of a King-like topology; snapshots record it to regenerate
+    /// the topology on restore.
+    topology_seed: u64,
+    /// One stabilized Chord state per node, in slot order.
+    ring: Vec<ChordState>,
+    /// Seed of the simulator's RNG.
+    sim_seed: u64,
+}
+
+impl Substrate {
+    /// Derives the substrate of an `nodes`-node network from the master
+    /// `seed`: ring ids from `seed` itself, the King-like topology and
+    /// the simulator's RNG each from `seed` xor its own salt.
+    ///
+    /// # Errors
+    /// [`HyperSubError::InvalidConfig`] when the network would be empty
+    /// or a custom topology's size differs from `nodes`.
+    pub fn derive(nodes: usize, topology: &TopologyKind, seed: u64) -> Result<Self> {
+        if nodes == 0 {
+            return Err(HyperSubError::InvalidConfig(
+                "network needs at least one node",
+            ));
+        }
+        let topology_seed = seed ^ 0x7090;
+        let topology: Arc<dyn Topology> = match topology {
+            TopologyKind::Uniform(t) => Arc::new(UniformTopology::new(nodes, *t)),
+            TopologyKind::KingLike(rtt) => {
+                Arc::new(KingLikeTopology::generate(nodes, *rtt, topology_seed))
+            }
+            TopologyKind::Custom(t) if t.len() == nodes => Arc::clone(t),
+            TopologyKind::Custom(_) => {
+                return Err(HyperSubError::InvalidConfig(
+                    "custom topology size does not match node count",
+                ))
+            }
+        };
+        let ring = build_ring(&RingConfig::default(), topology.as_ref(), seed);
+        Ok(Self {
+            topology,
+            topology_seed,
+            ring,
+            sim_seed: seed ^ 0x51ed,
+        })
+    }
+
+    /// Builds the simulator: one node per ring position, made by `make`
+    /// from that position's Chord state.
+    pub fn into_sim<N, M: Payload, W>(
+        self,
+        make: impl FnMut(ChordState) -> N,
+        world: W,
+    ) -> Sim<N, M, W> {
+        let nodes = self.ring.into_iter().map(make).collect();
+        Sim::new(self.topology, nodes, world, self.sim_seed)
     }
 }
 
@@ -163,7 +230,6 @@ pub struct NetworkBuilder {
     registry: Registry,
     config: SystemConfig,
     topology: TopologyKind,
-    ring: RingConfig,
     seed: u64,
     recorder_capacity: Option<usize>,
     snapshot: SnapshotConfig,
@@ -194,21 +260,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Synthetic King-dataset-like topology with the given mean RTT.
-    pub fn king_like(mut self, mean_rtt: SimTime) -> Self {
-        self.topology = TopologyKind::KingLike(mean_rtt);
-        self
-    }
-
     /// Explicit topology model (covers the custom-matrix case).
     pub fn topology(mut self, topology: TopologyKind) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Chord ring construction parameters.
-    pub fn ring(mut self, ring: RingConfig) -> Self {
-        self.ring = ring;
         self
     }
 
@@ -231,18 +285,7 @@ impl NetworkBuilder {
     /// fingers), one HyperSub node per slot. Load-balancing timers are
     /// armed (staggered) when the config enables LB.
     pub fn build(self) -> Result<Network> {
-        if self.nodes == 0 {
-            return Err(HyperSubError::InvalidConfig(
-                "network needs at least one node",
-            ));
-        }
-        if let TopologyKind::Custom(t) = &self.topology {
-            if t.len() != self.nodes {
-                return Err(HyperSubError::InvalidConfig(
-                    "custom topology size does not match node count",
-                ));
-            }
-        }
+        let substrate = Substrate::derive(self.nodes, &self.topology, self.seed)?;
         if self.recorder_capacity == Some(0) {
             return Err(HyperSubError::InvalidConfig(
                 "flight recorder capacity must be positive",
@@ -272,7 +315,7 @@ impl NetworkBuilder {
                 TopologyKind::KingLike(rtt) => TopoDescriptor::KingLike {
                     nodes: self.nodes,
                     mean_rtt: *rtt,
-                    seed: self.seed ^ 0x7090,
+                    seed: substrate.topology_seed,
                 },
                 TopologyKind::Custom(_) => {
                     return Err(HyperSubError::Snapshot(
@@ -285,23 +328,12 @@ impl NetworkBuilder {
         } else {
             None
         };
-        let topo: Arc<dyn Topology> = match &self.topology {
-            TopologyKind::Uniform(t) => Arc::new(UniformTopology::new(self.nodes, *t)),
-            TopologyKind::KingLike(rtt) => Arc::new(KingLikeTopology::generate(
-                self.nodes,
-                *rtt,
-                self.seed ^ 0x7090,
-            )),
-            TopologyKind::Custom(t) => Arc::clone(t),
-        };
-        let states = build_ring(&self.ring, topo.as_ref(), self.seed);
         let registry = Arc::new(self.registry);
         let cfg = Arc::new(self.config);
-        let nodes: Vec<HyperSubNode> = states
-            .into_iter()
-            .map(|st| HyperSubNode::new(st, Arc::clone(&registry), Arc::clone(&cfg)))
-            .collect();
-        let mut sim = Sim::new(topo, nodes, HyperWorld::default(), self.seed ^ 0x51ed);
+        let mut sim = substrate.into_sim(
+            |st| HyperSubNode::new(st, Arc::clone(&registry), Arc::clone(&cfg)),
+            HyperWorld::default(),
+        );
         if let Some(capacity) = self.recorder_capacity {
             sim.enable_recording(capacity);
         }
@@ -345,7 +377,7 @@ pub struct Network {
 impl Network {
     /// Starts building an `nodes`-node network; see [`NetworkBuilder`]
     /// for the knobs. Defaults: empty registry, default
-    /// [`SystemConfig`], uniform 10 ms links, default ring, seed 0, no
+    /// [`SystemConfig`], uniform 10 ms links, seed 0, no
     /// flight recorder.
     pub fn builder(nodes: usize) -> NetworkBuilder {
         NetworkBuilder {
@@ -353,7 +385,6 @@ impl Network {
             registry: Registry::new(Vec::new()),
             config: SystemConfig::default(),
             topology: TopologyKind::Uniform(SimTime::from_millis(10)),
-            ring: RingConfig::default(),
             seed: 0,
             recorder_capacity: None,
             snapshot: SnapshotConfig::default(),

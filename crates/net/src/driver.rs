@@ -281,7 +281,7 @@ where
     }
 }
 
-/// Handle to a running [`NetDriver`] node: enqueue work onto the driver
+/// Handle to a node started by [`spawn`]: enqueue work onto the driver
 /// thread and shut it down.
 pub struct NetHandle<N, M, W> {
     tx: Sender<Input<N, M, W>>,

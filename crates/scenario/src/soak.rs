@@ -6,7 +6,7 @@
 //! segment's bytes — so a driver (the `scenario` bench binary, or CI
 //! with per-segment stamp files) can execute one segment per invocation
 //! and still produce the *same* digest and verdicts as an uninterrupted
-//! run. [`run`] itself loops the segments in-process, exercising the
+//! run. `run` itself loops the segments in-process, exercising the
 //! restore path on every single run.
 //!
 //! Schedule per segment: a [`ChurnPlan`] holds ~31% of the

@@ -18,14 +18,13 @@
 //!
 //! ## Fairness rules
 //!
-//! Every system sees identical inputs, enforced structurally rather than
-//! by convention:
+//! Every system sees identical inputs:
 //!
-//! 1. **Same substrate.** All systems build the King-like topology, ring
-//!    ids, and simulator RNG from the same master seed with the same
-//!    derivations (`Network::build` and `BaselineNetBuilder::build_with`
-//!    share them), so node `i` has the same Chord id and the same link
-//!    latencies everywhere.
+//! 1. **Same substrate.** `NetworkBuilder::build` and
+//!    `BaselineNetBuilder::build_with` both derive the King-like
+//!    topology, ring ids, and simulator RNG from the master seed with
+//!    the one function [`hypersub_core::sim::Substrate::derive`], so node
+//!    `i` has the same Chord id and the same link latencies everywhere.
 //! 2. **Same workload.** One `WorkloadGen` per run, seeded `seed ^
 //!    0xabcd`, consumed in the same call order: all subscriptions
 //!    (node-major), then per event `random_node`, `event_point`,
@@ -71,10 +70,11 @@ pub type Rung = (usize, usize, usize);
 /// Quick tier: the 1k-node smoke rung CI runs on every push.
 pub const QUICK_LADDER: &[Rung] = &[(1_000, 4, 200)];
 
-/// Full tier: the 8k/32k rungs `run_experiments.sh` runs. The 32k rung
+/// Full tier: the 512/8k/32k rungs `run_experiments.sh` runs. The 512
+/// rung is the §2 comparison EXPERIMENTS.md reports; the 32k rung
 /// scales subscriptions and events down to keep the attribute-ring
 /// system's O(arc-length) installation within a workstation budget.
-pub const FULL_LADDER: &[Rung] = &[(8_000, 4, 800), (32_000, 2, 400)];
+pub const FULL_LADDER: &[Rung] = &[(512, 6, 2_000), (8_000, 4, 800), (32_000, 2, 400)];
 
 /// Parameters of one shoot-out run (one system × one rung).
 #[derive(Debug, Clone)]
@@ -185,14 +185,21 @@ impl SystemRun {
 
     /// Mean of per-event max hops.
     pub fn avg_max_hops(&self) -> f64 {
-        if self.event_stats.is_empty() {
-            return 0.0;
-        }
-        self.event_stats
-            .iter()
-            .map(|e| e.max_hops as f64)
-            .sum::<f64>()
-            / self.event_stats.len() as f64
+        mean(self.event_stats.iter().map(|e| e.max_hops as f64))
+    }
+
+    /// Mean of per-event max delivery latency, in milliseconds.
+    pub fn avg_max_latency_ms(&self) -> f64 {
+        mean(
+            self.event_stats
+                .iter()
+                .map(|e| e.max_latency.as_millis_f64()),
+        )
+    }
+
+    /// Mean per-node stored-entry load.
+    pub fn load_mean(&self) -> f64 {
+        mean(self.loads.iter().map(|&l| l as f64))
     }
 
     /// Max hops over all deliveries.
@@ -324,7 +331,7 @@ where
     let start = Instant::now();
     let mut net = BaselineNetBuilder::new(p.nodes)
         .seed(p.seed)
-        .king_like(p.mean_rtt)
+        .topology(TopologyKind::KingLike(p.mean_rtt))
         .build_with(make)?;
     let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
     let mut sub_ids = Vec::with_capacity(p.nodes * p.spec.subs_per_node);
@@ -363,6 +370,16 @@ where
         install_bytes,
         wall_secs: start.elapsed().as_secs_f64(),
     })
+}
+
+/// Arithmetic mean, 0 for no samples.
+fn mean(samples: impl Iterator<Item = f64>) -> f64 {
+    let (n, sum) = samples.fold((0usize, 0.0), |(n, sum), x| (n + 1, sum + x));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
 }
 
 fn expected_pairs(
@@ -630,8 +647,10 @@ pub fn render_table(outcome: &RungOutcome) -> Table {
             "system",
             "equiv",
             "avg max hops",
+            "avg max latency (ms)",
             "install msgs",
             "KB/event",
+            "load mean",
             "load p50",
             "load p99",
             "load max",
@@ -645,8 +664,10 @@ pub fn render_table(outcome: &RungOutcome) -> Table {
             r.system.to_string(),
             if r.equivalent() { "yes" } else { "NO" }.to_string(),
             format!("{:.1}", r.avg_max_hops()),
+            format!("{:.0}", r.avg_max_latency_ms()),
             r.install_msgs.to_string(),
             format!("{:.1}", r.bytes_per_event() / 1024.0),
+            format!("{:.1}", r.load_mean()),
             format!("{:.0}", load.p50),
             format!("{:.0}", load.p99),
             format!("{:.0}", load.max),
@@ -687,6 +708,19 @@ mod tests {
             !out.runs[0].expected.is_empty(),
             "workload must match something"
         );
+        // The §2 shapes: the rendezvous node, and no other system's
+        // hottest node, stores all 64 subscriptions; HyperSub stores each
+        // once; the attribute ring replicates, so it stores the most.
+        let total = |r: &SystemRun| r.loads.iter().sum::<u64>();
+        let named = |name| out.runs.iter().find(|r| r.system == name).unwrap();
+        for r in &out.runs {
+            let hottest = r.loads.iter().copied().max().unwrap_or(0);
+            assert_eq!(hottest == 64, r.system == "rendezvous", "{}", r.system);
+        }
+        assert_eq!(total(named("hypersub")), 64);
+        for r in out.runs.iter().filter(|r| r.system != "attr_ring") {
+            assert!(total(named("attr_ring")) > total(r), "{}", r.system);
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * Hash maps/sets MUST be encoded in sorted key order by callers —
 //!   std's per-process random SipHash seed makes iteration order
 //!   unstable across processes, and the golden test pins exact bytes.
-//! * A snapshot file is a self-checking [envelope]: magic `HSNP`, a
-//!   `u32` format version, a length-prefixed payload, and an FNV-1a
-//!   checksum of the payload. Decoders reject bad magic, unknown
+//! * A snapshot file is a self-checking envelope ([`seal`]): magic
+//!   `HSNP`, a `u32` format version, a length-prefixed payload, and an
+//!   FNV-1a checksum of the payload. Decoders reject bad magic, unknown
 //!   versions, corrupt payloads, and trailing garbage.
 //!
 //! Versioning policy: any change to the byte layout of any encoded type

@@ -12,7 +12,7 @@
 #
 # Exits nonzero (with a FAILED summary block) if any binary fails.
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 BIN=target/release
 STAMPS=results/.checkpoints
 ARCHIVE=results/archive
@@ -25,13 +25,15 @@ fi
 
 FAILED=()
 SKIPPED=0
-for b in table1 table2 fig2 fig4 fig3 baseline_compare ablation_subscheme ablation_rotation ablation_base fig5; do
+RAN=0
+for b in table1 table2 fig2 fig4 fig3 ablation_subscheme ablation_rotation ablation_base fig5; do
   if [ -f "$STAMPS/$b.done" ]; then
     echo "=== $b already done ($(cat "$STAMPS/$b.done")), skipping ==="
     SKIPPED=$((SKIPPED + 1))
     continue
   fi
   echo "=== $b start $(date +%T) ==="
+  RAN=$((RAN + 1))
   if { time $BIN/$b > results/$b.txt ; } 2> results/$b.time ; then
     date -u +%Y-%m-%dT%H:%M:%SZ > "$STAMPS/$b.done"
   else
@@ -56,6 +58,7 @@ for s in flash_crowd diurnal_waves asymmetric_partition slow_link; do
     continue
   fi
   echo "=== $b start $(date +%T) ==="
+  RAN=$((RAN + 1))
   if { time $BIN/scenario run --scenario "$s" --seed 7 > results/$b.txt ; } 2> results/$b.time ; then
     date -u +%Y-%m-%dT%H:%M:%SZ > "$STAMPS/$b.done"
   else
@@ -79,6 +82,7 @@ if [ -f "$STAMPS/$b.done" ]; then
   SKIPPED=$((SKIPPED + 1))
 else
   echo "=== $b start $(date +%T) ==="
+  RAN=$((RAN + 1))
   : > results/$b.txt
   SOAK_OK=1
   while true; do
@@ -100,8 +104,9 @@ else
   echo "=== $b done $(date +%T) ==="
 fi
 
-# Baseline shoot-out, full ladder (8k and 32k rungs, seed 7): five
-# systems over one substrate, delivery-equivalence oracle enforced.
+# Baseline shoot-out, full ladder (512, 8k and 32k rungs, seed 7): five
+# systems over one substrate, delivery-equivalence oracle enforced. The
+# 512 rung is the §2 comparison EXPERIMENTS.md "Baselines" reports.
 # Emits the table to results/shootout.txt and the unified document to
 # results/SHOOTOUT.json; a failed oracle exits nonzero like any binary.
 b=shootout
@@ -110,6 +115,7 @@ if [ -f "$STAMPS/$b.done" ]; then
   SKIPPED=$((SKIPPED + 1))
 else
   echo "=== $b start $(date +%T) ==="
+  RAN=$((RAN + 1))
   if { time $BIN/shootout run --all --seed 7 --out results/SHOOTOUT.json > results/$b.txt ; } 2> results/$b.time ; then
     date -u +%Y-%m-%dT%H:%M:%SZ > "$STAMPS/$b.done"
   else
@@ -127,8 +133,8 @@ fi
 if [ ${#FAILED[@]} -gt 0 ]; then
   echo "=== FAILED ==="
   printf '%s\n' "${FAILED[@]}"
-  echo "${#FAILED[@]} of 16 steps failed ($SKIPPED skipped as already done)"
+  echo "${#FAILED[@]} of $RAN steps failed ($SKIPPED skipped as already done)"
   echo "rerun ./run_experiments.sh to resume from the last completed step"
   exit 1
 fi
-echo "ALL_DONE ($SKIPPED skipped as already done)"
+echo "ALL_DONE ($RAN ran, $SKIPPED skipped as already done)"
